@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-json bench-diff bench-baseline experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-json bench-diff bench-baseline perfbench-test experiments examples serve-smoke ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -187,6 +187,13 @@ bench-diff: bench-json
 bench-baseline:
 	$(GO) run ./cmd/distjoin-bench -bench-json $(BENCH_BASELINE) -scale $(BENCH_SCALE)
 
+# Self-tests of the repository benchmark (perfbench/, its own module):
+# every workload of BENCHMARK.json on small inputs, checking that it
+# emits exactly the declared metrics. Full runs go through
+# `bash perfbench/run.sh --workload NAME`.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Regenerate the paper's evaluation (tables to stdout, figures to ./figures).
 experiments:
 	$(GO) run ./cmd/distjoin-bench -exp all -svg figures
@@ -228,7 +235,8 @@ serve-smoke:
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
 # lint gate, build, tests with coverage + floor gate, race detector,
-# simulation smoke, fuzz smoke, server smoke, bench regression gate.
+# simulation smoke, fuzz smoke, server smoke, benchmark self-tests,
+# bench regression gate.
 ci: lint build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
@@ -237,6 +245,7 @@ ci: lint build
 	$(MAKE) sim-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) perfbench-test
 	$(MAKE) bench-diff
 
 clean:

@@ -20,7 +20,7 @@ import (
 // `ratio != 1.0`) are sentinel checks, not distance identity, and are
 // not flagged; neither is the `x != x` NaN idiom. Legitimate bit-exact
 // sites — the deterministic tie-breaks the parallel engine relies on,
-// and the hybrid queue's tie-run boundary scans — carry
+// such as the hybrid queue's Pair.Less key order — carry
 // `//lint:allow floatcmp <reason>` annotations.
 var Floatcmp = &Analyzer{
 	Name:      "floatcmp",

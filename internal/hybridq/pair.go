@@ -53,20 +53,45 @@ func (p Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 // byte-identical results to the serial algorithms. (The cost: at a
 // heavily tied distance — typically 0, overlapping MBRs — all tied
 // node pairs are expanded before the first tied result is emitted.)
+func (p Pair) Less(o Pair) bool { return p.key().less(o.key()) }
+
+// key is a pair's position in the Pair.Less order. The queue's
+// memory/disk boundary and its segment ranges are keys too, so a
+// boundary can fall between two pairs at the same distance and the
+// tie-break is written once, in less.
+type key struct {
+	dist        float64
+	result      bool
+	left, right uint64
+}
+
+// unbounded is the largest key: the upper bound of an open-ended
+// range. The joins never produce a pair that reaches it, since their
+// distances are finite.
+var unbounded = key{dist: math.Inf(1), result: true, left: math.MaxUint64, right: math.MaxUint64}
+
+// key takes the pair by pointer so the queue's hot comparators (the
+// heap's and byPairOrder's) read fields in place rather than copying
+// two 96-byte Pairs per comparison.
+func (p *Pair) key() key {
+	return key{dist: p.Dist, result: p.LeftObj && p.RightObj, left: p.Left, right: p.Right}
+}
+
+// less is the Pair.Less order on keys. The model boundary key{dist: d}
+// sorts at or below every pair at distance d.
 //
 //lint:allow floatcmp bit-exact distance tie-break IS the determinism contract the parallel engine relies on
-func (p Pair) Less(o Pair) bool {
-	if p.Dist != o.Dist {
-		return p.Dist < o.Dist
+func (k key) less(o key) bool {
+	if k.dist != o.dist {
+		return k.dist < o.dist
 	}
-	pr, or := p.IsResult(), o.IsResult()
-	if pr != or {
-		return or
+	if k.result != o.result {
+		return o.result
 	}
-	if p.Left != o.Left {
-		return p.Left < o.Left
+	if k.left != o.left {
+		return k.left < o.left
 	}
-	return p.Right < o.Right
+	return k.right < o.right
 }
 
 // RecordSize is the fixed on-disk encoding size of a Pair.

@@ -88,7 +88,7 @@ var segPool = sync.Pool{New: func() any { return new(segment) }}
 
 // getSegment returns an empty segment covering [lo, hi) with a
 // pageSize write buffer.
-func getSegment(lo, hi float64, pageSize int) *segment {
+func getSegment(lo, hi key, pageSize int) *segment {
 	s := segPool.Get().(*segment)
 	if cap(s.buf) < pageSize {
 		s.buf = make([]byte, pageSize)
@@ -112,5 +112,5 @@ func putSegment(s *segment) { segPool.Put(s) }
 type byPairOrder []Pair
 
 func (s byPairOrder) Len() int           { return len(s) }
-func (s byPairOrder) Less(i, j int) bool { return s[i].Less(s[j]) }
+func (s byPairOrder) Less(i, j int) bool { return s[i].key().less(s[j].key()) }
 func (s byPairOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }

@@ -3,6 +3,7 @@ package hybridq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,10 +22,11 @@ import (
 // Err once at the end of a run.
 type Queue struct {
 	heap     *pqueue.Heap[Pair]
-	capacity int     // max heap elements (n of §4.4)
-	memBound float64 // exclusive upper bound of the in-memory range
-	rho      float64 // density factor for model boundaries, 0 disables
-	segs     []*segment
+	capacity int        // max heap elements (n of §4.4)
+	memBound key        // exclusive upper bound of the in-memory range
+	rho      float64    // density factor for model boundaries, 0 disables
+	segs     []*segment // sorted by lo, disjoint, all at or above memBound
+	disk     int        // pairs in segs
 	store    storage.Store
 	free     []storage.PageID
 	perPage  int
@@ -33,12 +35,6 @@ type Queue struct {
 	tr       *trace.Tracer
 	fault    func(op FaultOp) error
 	err      error
-	// splitFloor suppresses pointless re-splits: when a split finds the
-	// whole heap sharing one distance (nothing spillable without
-	// straddling a tie run across the memory/disk boundary), it records
-	// the heap length here, and Push retries a split only once the heap
-	// grows past it with a spillable (longer-distance) element possible.
-	splitFloor int
 	// mu serializes the public operations when the queue was built with
 	// Config.Concurrent. The parallel join engine touches the main queue
 	// only from its coordinating goroutine between worker barriers, so
@@ -54,8 +50,7 @@ type Queue struct {
 type FaultOp int
 
 const (
-	// FaultSpill fires when a heap split actually moves pairs to a
-	// disk segment (splitHeap with a non-empty spilled tail).
+	// FaultSpill fires when a heap split moves pairs to a disk segment.
 	FaultSpill FaultOp = iota
 	// FaultReload fires when a drained heap swaps a disk segment back
 	// in (swapIn with at least one segment available).
@@ -74,10 +69,10 @@ func (op FaultOp) String() string {
 	}
 }
 
-// segment is one on-disk unsorted pile covering the distance range
+// segment is one on-disk unsorted pile covering the key range
 // [lo, hi).
 type segment struct {
-	lo, hi   float64
+	lo, hi   key
 	pages    []storage.PageID
 	buf      []byte // partial trailing page
 	bufCount int
@@ -135,12 +130,12 @@ func New(cfg Config) *Queue {
 	// disk segment is sqrt(n*rho). Distant pairs spill immediately
 	// instead of churning through the heap; an underestimated model is
 	// corrected by overflow splits, an overestimated one by swap-ins.
-	memBound := math.Inf(1)
+	memBound := unbounded
 	if b := math.Sqrt(float64(capacity) * cfg.Rho); b > 0 {
-		memBound = b
+		memBound = key{dist: b}
 	}
 	q := &Queue{
-		heap:     pqueue.NewHeap(func(a, b Pair) bool { return a.Less(b) }),
+		heap:     pqueue.NewHeap(func(a, b Pair) bool { return a.key().less(b.key()) }),
 		capacity: capacity,
 		memBound: memBound,
 		rho:      cfg.Rho,
@@ -173,7 +168,7 @@ func (q *Queue) Capacity() int { return q.capacity }
 // Len returns the total number of queued pairs (memory + disk).
 func (q *Queue) Len() int {
 	defer q.lock()()
-	return q.heap.Len() + q.diskLen()
+	return q.heap.Len() + q.disk
 }
 
 // Empty reports whether no pairs are queued.
@@ -197,7 +192,7 @@ func (q *Queue) Segments() int {
 // enough to call on the hot path at a bounded rate.
 func (q *Queue) Depth() (mem, disk, segments int) {
 	defer q.lock()()
-	return q.heap.Len(), q.diskLen(), len(q.segs)
+	return q.heap.Len(), q.disk, len(q.segs)
 }
 
 // Err returns the first storage error encountered, if any.
@@ -214,14 +209,15 @@ func (q *Queue) Push(p Pair) {
 	if q.err != nil {
 		return
 	}
-	if p.Dist < q.memBound {
+	k := p.key()
+	if k.less(q.memBound) {
 		q.heap.Push(p)
-		if q.heap.Len() > q.capacity && q.heap.Len() > q.splitFloor {
+		if q.heap.Len() > q.capacity {
 			q.splitHeap()
 		}
 		return
 	}
-	q.spill(p)
+	q.appendToSegment(q.segmentFor(k), p)
 }
 
 // Pop removes and returns the minimum pair. ok is false when the
@@ -257,76 +253,27 @@ func (q *Queue) Peek() (p Pair, ok bool) {
 	return q.heap.Peek(), true
 }
 
-// splitHeap handles heap overflow: the longer-distance half of the
-// heap is moved to a new disk segment and the in-memory bound shrinks
-// to the split distance.
-//
-// Pairs sharing one distance are never split across the memory/disk
-// boundary: queue consumers (the parallel join engine in particular)
-// rely on equal-distance pairs popping in their full Less order, which
-// holds only if a tie run always lives in a single region. When the
-// split point lands inside a run, the whole run stays in memory — the
-// budget is temporarily exceeded by the run length — and only the
-// strictly-longer tail spills.
+// splitHeap handles heap overflow: the longer half of the heap, by
+// Pair.Less, moves to a new disk segment and the in-memory bound
+// shrinks to the first spilled pair's key. The cut can fall inside a
+// run of equal distances; pop order is still exactly Pair.Less because
+// no pair in memory sorts after a pair on disk.
 func (q *Queue) splitHeap() {
-	buf := getPairBuf(q.heap.Len())
-	items := append(buf.items, q.heap.Items()...)
-	sort.Sort(byPairOrder(items))
-	keep := len(items) / 2
-	if keep < 1 {
-		keep = 1
-	}
-	split := items[keep].Dist
-	// Keep strictly-below-split pairs in memory so that the routing
-	// invariant (heap holds only dist < memBound) is preserved; pairs
-	// equal to the split distance spill with the long half.
-	//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
-	for keep > 0 && items[keep-1].Dist == split {
-		keep--
-	}
-	bound := split
-	if keep == 0 {
-		// The split point landed inside a single-distance run: keep
-		// the entire run, spill only pairs strictly beyond it.
-		bound = math.Nextafter(split, math.Inf(1))
-		keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
-	}
-	if keep == len(items) {
-		// Nothing spillable — the whole heap is one tie run. Leave it
-		// in memory, shrink the bound so longer pairs spill directly,
-		// and stop re-splitting until the heap can actually shed load.
-		q.memBound = bound
-		q.splitFloor = len(items)
-		buf.items = items
-		putPairBuf(buf)
-		return
-	}
-
-	// An actual spill is about to happen: give the fault hook its
-	// deterministic injection point before any state is mutated, so a
-	// failed spill leaves the heap intact and the error latched.
+	// Injection point before any state is mutated, so a failed spill
+	// leaves the heap intact and the error latched.
 	if q.fault != nil {
 		if err := q.fault(FaultSpill); err != nil {
 			q.err = err
-			buf.items = items
-			putPairBuf(buf)
 			return
 		}
 	}
-	hi := q.memBound
-	q.memBound = bound
-	q.splitFloor = 0
-	seg := getSegment(bound, hi, q.store.PageSize())
-	for _, p := range items[keep:] {
-		q.appendToSegment(seg, p)
-	}
-	q.insertSegment(seg)
-
-	spilled := len(items) - keep
+	buf := getPairBuf(q.heap.Len())
+	items := append(buf.items, q.heap.Items()...)
+	sort.Sort(byPairOrder(items))
 	q.heap.Clear()
-	for _, p := range items[:keep] {
-		q.heap.Push(p)
-	}
+	n := len(items) / 2
+	spilled := len(items) - n
+	q.keep(items, n)
 	// Every pair is now copied into the heap or encoded into the
 	// segment buffer; the slab can recycle.
 	buf.items = items
@@ -334,56 +281,51 @@ func (q *Queue) splitHeap() {
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueSpill,
-			Dist:     bound,
+			Dist:     q.memBound.dist,
 			Count:    int64(spilled),
 			MemLen:   q.heap.Len(),
-			DiskLen:  q.diskLen(),
+			DiskLen:  q.disk,
 			Segments: len(q.segs),
 		})
 	}
 }
 
-// diskLen returns the number of pairs currently in disk segments.
-// Callers hold the queue lock (or own the queue single-threaded).
-func (q *Queue) diskLen() int {
-	n := 0
-	for _, s := range q.segs {
-		n += s.count
+// keep puts sorted[:n] in the (empty) heap and moves sorted[n:] to a
+// new first segment [sorted[n], memBound), which becomes the memory
+// bound. sorted is in Pair.Less order and 0 < n < len(sorted).
+func (q *Queue) keep(sorted []Pair, n int) {
+	seg := getSegment(sorted[n].key(), q.memBound, q.store.PageSize())
+	for _, p := range sorted[n:] {
+		q.appendToSegment(seg, p)
 	}
-	return n
+	q.segs = slices.Insert(q.segs, 0, seg)
+	q.memBound = seg.lo
+	for _, p := range sorted[:n] {
+		q.heap.Push(p)
+	}
 }
 
-// spill routes p to the disk segment covering its distance, creating a
-// model-boundary segment if none exists.
-func (q *Queue) spill(p Pair) {
-	seg := q.segmentFor(p.Dist)
-	q.appendToSegment(seg, p)
-}
-
-// segmentFor locates or creates the segment containing dist, which is
-// >= memBound.
-func (q *Queue) segmentFor(dist float64) *segment {
-	for _, s := range q.segs {
-		if dist >= s.lo && dist < s.hi {
-			return s
-		}
+// segmentFor locates or creates the segment containing k, which is
+// at or above memBound.
+func (q *Queue) segmentFor(k key) *segment {
+	i := sort.Search(len(q.segs), func(i int) bool { return k.less(q.segs[i].hi) })
+	if i < len(q.segs) && !k.less(q.segs[i].lo) {
+		return q.segs[i]
 	}
-	// Create a segment from the model boundaries sqrt(i*n*rho),
-	// clipped against existing segments and the memory bound.
-	lo, hi := q.modelRange(dist)
-	if lo < q.memBound {
+	// k falls in the gap below segs[i]: create a segment from the model
+	// boundaries sqrt(i*n*rho), clipped to the gap and the memory bound.
+	lo, hi := q.modelRange(k.dist)
+	if lo.less(q.memBound) {
 		lo = q.memBound
 	}
-	for _, s := range q.segs {
-		if s.hi <= dist && s.hi > lo {
-			lo = s.hi
-		}
-		if s.lo > dist && s.lo < hi {
-			hi = s.lo
-		}
+	if i > 0 && lo.less(q.segs[i-1].hi) {
+		lo = q.segs[i-1].hi
+	}
+	if i < len(q.segs) && q.segs[i].lo.less(hi) {
+		hi = q.segs[i].lo
 	}
 	seg := getSegment(lo, hi, q.store.PageSize())
-	q.insertSegment(seg)
+	q.segs = slices.Insert(q.segs, i, seg)
 	return seg
 }
 
@@ -396,41 +338,26 @@ const maxModelSegments = 64
 // modelRange returns the §4.4 model boundaries surrounding dist:
 // [sqrt(i*n*rho), sqrt((i+1)*n*rho)) for the i containing dist. With
 // no usable model the range is unbounded; beyond the segment cap the
-// last range extends to infinity.
-func (q *Queue) modelRange(dist float64) (lo, hi float64) {
+// last range is unbounded above.
+func (q *Queue) modelRange(dist float64) (lo, hi key) {
 	unit := float64(q.capacity) * q.rho
 	if unit <= 0 || math.IsInf(dist, 1) {
-		return 0, math.Inf(1)
+		return key{}, unbounded
 	}
 	i := math.Floor(dist * dist / unit)
 	if i >= maxModelSegments {
-		return math.Sqrt(maxModelSegments * unit), math.Inf(1)
+		return key{dist: math.Sqrt(maxModelSegments * unit)}, unbounded
 	}
-	lo = math.Sqrt(i * unit)
-	hi = math.Sqrt((i + 1) * unit)
+	l := math.Sqrt(i * unit)
+	h := math.Sqrt((i + 1) * unit)
 	// Guard against floating-point edge effects at boundaries.
-	if dist < lo {
-		lo = dist
+	if dist < l {
+		l = dist
 	}
-	if dist >= hi {
-		hi = math.Nextafter(dist, math.Inf(1))
+	if dist >= h {
+		h = math.Nextafter(dist, math.Inf(1))
 	}
-	return lo, hi
-}
-
-// insertSegment adds seg keeping q.segs sorted by lo. Segment ranges
-// are disjoint by construction (segmentFor clips against existing
-// segments, splits always carve below the spilled range), so a plain
-// insertion shift is equivalent to the full sort it replaced — and
-// allocation-free, which the steady-state allocation tests rely on.
-func (q *Queue) insertSegment(seg *segment) {
-	q.segs = append(q.segs, seg)
-	i := len(q.segs) - 1
-	for i > 0 && q.segs[i-1].lo > seg.lo {
-		q.segs[i] = q.segs[i-1]
-		i--
-	}
-	q.segs[i] = seg
+	return key{dist: l}, key{dist: h}
 }
 
 // appendToSegment encodes p into the segment's trailing page buffer,
@@ -442,6 +369,7 @@ func (q *Queue) appendToSegment(seg *segment, p Pair) {
 	p.encode(seg.buf[seg.bufCount*RecordSize:])
 	seg.bufCount++
 	seg.count++
+	q.disk++
 	if seg.bufCount == q.perPage {
 		q.flushSegmentPage(seg)
 	}
@@ -472,9 +400,9 @@ func (q *Queue) allocPage() (storage.PageID, error) {
 	return q.store.Alloc()
 }
 
-// swapIn loads the lowest-range segment into the heap, splitting it if
-// it exceeds the memory capacity. Returns false when no segment
-// exists or an error latched.
+// swapIn loads the lowest-range segment into the heap; when it holds
+// more than the capacity, keep sends its longer tail back to disk.
+// Returns false when no segment exists or an error latched.
 func (q *Queue) swapIn() bool {
 	if len(q.segs) == 0 || q.err != nil {
 		return false
@@ -489,7 +417,8 @@ func (q *Queue) swapIn() bool {
 	}
 	seg := q.segs[0]
 	q.segs = q.segs[1:]
-	q.splitFloor = 0 // heap is empty; any previous overrun is gone
+	q.disk -= seg.count
+	q.memBound = seg.hi
 
 	buf := getPairBuf(seg.count)
 	items := buf.items
@@ -514,53 +443,27 @@ func (q *Queue) swapIn() bool {
 		items = append(items, decodePair(seg.buf[i*RecordSize:]))
 	}
 
-	if len(items) > q.capacity {
-		sort.Sort(byPairOrder(items))
-		keep := q.capacity
-		split := items[keep].Dist
-		//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
-		for keep > 0 && items[keep-1].Dist == split {
-			keep--
-		}
-		bound := split
-		if keep == 0 {
-			// As in splitHeap: never straddle a tie run across the
-			// boundary — keep the whole run, even over capacity.
-			bound = math.Nextafter(split, math.Inf(1))
-			keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
-		}
-		if keep == len(items) {
-			q.memBound = seg.hi
-			q.splitFloor = len(items)
-		} else {
-			rest := getSegment(bound, seg.hi, q.store.PageSize())
-			for _, p := range items[keep:] {
-				q.appendToSegment(rest, p)
-			}
-			q.insertSegment(rest)
-			items = items[:keep]
-			q.memBound = bound
-		}
-	} else {
-		q.memBound = seg.hi
-	}
-
-	for _, p := range items {
-		q.heap.Push(p)
-	}
 	loaded := len(items)
-	// Everything is copied into the heap (or re-encoded into rest's
-	// buffer above); recycle the slab before the possible tail call so
-	// a chain of empty segments reuses one slab.
+	if loaded > q.capacity {
+		sort.Sort(byPairOrder(items))
+		q.keep(items, q.capacity)
+	} else {
+		for _, p := range items {
+			q.heap.Push(p)
+		}
+	}
+	// Everything is copied into the heap (or re-encoded into a new
+	// segment by keep); recycle the slab before the possible tail call
+	// so a chain of empty segments reuses one slab.
 	buf.items = items
 	putPairBuf(buf)
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueReload,
-			Dist:     seg.lo,
-			Count:    int64(loaded),
+			Dist:     seg.lo.dist,
+			Count:    int64(q.heap.Len()),
 			MemLen:   q.heap.Len(),
-			DiskLen:  q.diskLen(),
+			DiskLen:  q.disk,
 			Segments: len(q.segs),
 		})
 	}
@@ -579,14 +482,13 @@ func (q *Queue) Drain() {
 		putSegment(s)
 	}
 	q.segs = nil
-	q.memBound = math.Inf(1)
-	q.splitFloor = 0
+	q.disk = 0
+	q.memBound = unbounded
 }
 
 // String summarizes the queue state for diagnostics.
 func (q *Queue) String() string {
 	defer q.lock()()
-	n := q.heap.Len() + q.diskLen()
 	return fmt.Sprintf("hybridq{mem=%d/%d bound=%g segs=%d total=%d}",
-		q.heap.Len(), q.capacity, q.memBound, len(q.segs), n)
+		q.heap.Len(), q.capacity, q.memBound.dist, len(q.segs), q.heap.Len()+q.disk)
 }

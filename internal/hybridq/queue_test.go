@@ -3,6 +3,7 @@ package hybridq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -159,45 +160,78 @@ func TestModelBoundariesRouteDirectly(t *testing.T) {
 }
 
 // Property: for any interleaving of pushes and pops, the hybrid queue
-// returns exactly what a reference in-memory priority queue returns.
+// returns exactly the pairs, in exactly the order, of a reference
+// sorted by Pair.Less, and never holds more than its capacity in
+// memory — not even inside a run of equal distances, and not when a
+// reloaded segment is larger than the heap.
 func TestEquivalenceWithReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, cfg := range []Config{
-		{MemBytes: 2 * RecordSize},
-		{MemBytes: 7 * RecordSize, Rho: 0.5},
-		{MemBytes: 64 * RecordSize, Rho: 0.001},
-		{MemBytes: 1 << 20},
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		dist func() float64
+	}{
+		{"tiny", Config{MemBytes: 2 * RecordSize}, nil},
+		{"model", Config{MemBytes: 7 * RecordSize, Rho: 0.5}, nil},
+		{"sparse-model", Config{MemBytes: 64 * RecordSize, Rho: 0.001}, nil},
+		{"in-memory", Config{MemBytes: 1 << 20}, nil},
+		{"all-ties", Config{MemBytes: 5 * RecordSize, Rho: 0.5}, func() float64 { return 0 }},
 	} {
-		q := New(cfg)
-		var ref []float64
-		id := uint64(0)
-		for op := 0; op < 4000; op++ {
-			if rng.Intn(3) != 0 || len(ref) == 0 {
-				d := rng.Float64() * 1000
-				if rng.Intn(10) == 0 {
-					d = float64(rng.Intn(5)) // force ties
+		t.Run(tc.name, func(t *testing.T) {
+			dist := tc.dist
+			if dist == nil {
+				dist = func() float64 {
+					if rng.Intn(10) == 0 {
+						return float64(rng.Intn(5)) // force ties
+					}
+					return rng.Float64() * 1000
 				}
-				q.Push(pairWithDist(d, id))
-				id++
-				ref = append(ref, d)
-				sort.Float64s(ref)
-			} else {
-				p, ok := q.Pop()
-				if !ok {
-					t.Fatalf("cfg %+v op %d: pop failed: %v", cfg, op, q.Err())
-				}
-				if p.Dist != ref[0] {
-					t.Fatalf("cfg %+v op %d: pop %g, want %g", cfg, op, p.Dist, ref[0])
-				}
-				ref = ref[1:]
 			}
-			if q.Len() != len(ref) {
-				t.Fatalf("cfg %+v op %d: len %d, want %d", cfg, op, q.Len(), len(ref))
+			q := New(tc.cfg)
+			var ref []Pair
+			oversized := 0 // reloads that sent part of the segment back to disk
+			for op := 0; op < 4000; op++ {
+				if rng.Intn(3) != 0 || len(ref) == 0 {
+					// Mixed result flags and few distinct left IDs exercise
+					// every level of the tie-break; Right keeps keys unique.
+					p := Pair{
+						Dist:     dist(),
+						LeftObj:  rng.Intn(2) == 0,
+						RightObj: rng.Intn(2) == 0,
+						Left:     uint64(rng.Intn(8)),
+						Right:    uint64(op),
+					}
+					q.Push(p)
+					i := sort.Search(len(ref), func(i int) bool { return p.Less(ref[i]) })
+					ref = slices.Insert(ref, i, p)
+				} else {
+					reload, segs := q.MemLen() == 0, q.Segments()
+					p, ok := q.Pop()
+					if !ok {
+						t.Fatalf("op %d: pop failed: %v", op, q.Err())
+					}
+					if p != ref[0] {
+						t.Fatalf("op %d: pop %+v, want %+v", op, p, ref[0])
+					}
+					ref = ref[1:]
+					if reload && q.Segments() == segs {
+						oversized++
+					}
+				}
+				if q.Len() != len(ref) {
+					t.Fatalf("op %d: len %d, want %d", op, q.Len(), len(ref))
+				}
+				if q.MemLen() > q.Capacity() {
+					t.Fatalf("op %d: %d pairs in memory, capacity %d", op, q.MemLen(), q.Capacity())
+				}
 			}
-		}
-		if err := q.Err(); err != nil {
-			t.Fatal(err)
-		}
+			if err := q.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "in-memory" && oversized == 0 {
+				t.Fatal("no reload of a segment larger than the heap was exercised")
+			}
+		})
 	}
 }
 
@@ -276,18 +310,84 @@ func TestDrain(t *testing.T) {
 func TestAllEqualDistances(t *testing.T) {
 	q := New(Config{MemBytes: 2 * RecordSize})
 	for i := 0; i < 50; i++ {
-		q.Push(pairWithDist(7, uint64(i)))
+		q.Push(pairWithDist(7, uint64(49-i)))
+		if q.MemLen() > q.Capacity() {
+			t.Fatalf("push %d: %d pairs in memory, capacity %d", i, q.MemLen(), q.Capacity())
+		}
 	}
-	seen := map[uint64]bool{}
+	if q.Segments() == 0 {
+		t.Fatal("a tie run over capacity must spill")
+	}
 	for i := 0; i < 50; i++ {
 		p, ok := q.Pop()
-		if !ok || p.Dist != 7 {
-			t.Fatalf("pop %d: %v %v (err=%v)", i, p, ok, q.Err())
+		if !ok || p.Dist != 7 || p.Left != uint64(i) {
+			t.Fatalf("pop %d: %v %v (err=%v), want id %d", i, p, ok, q.Err(), i)
 		}
-		if seen[p.Left] {
-			t.Fatalf("duplicate pair %d", p.Left)
+		if q.MemLen() > q.Capacity() {
+			t.Fatalf("pop %d: %d pairs in memory, capacity %d", i, q.MemLen(), q.Capacity())
 		}
-		seen[p.Left] = true
+	}
+	if !q.Empty() {
+		t.Fatal("not empty")
+	}
+}
+
+// Pairs can share a whole key — a node and an object side with the
+// same ID at the same distance compare equal under Pair.Less. Splits
+// and reloads that cut between equal keys must still lose nothing,
+// pop in Pair.Less order, and respect the capacity.
+func TestDuplicateKeys(t *testing.T) {
+	// A split between two equal keys leaves the heap holding a pair
+	// equal to the memory bound, so the next split cuts an empty key
+	// range; a later push must still land in the segment covering it.
+	q := New(Config{MemBytes: RecordSize})
+	node := Pair{Dist: 2, Left: 1, Right: 1}
+	mixed := node
+	mixed.LeftObj = true // an object side, same key as node
+	for _, p := range []Pair{node, mixed, pairWithDist(9, 1), pairWithDist(1, 1), pairWithDist(5, 1)} {
+		q.Push(p)
+	}
+	for i, want := range []float64{1, 2, 2, 5, 9} {
+		if p, ok := q.Pop(); !ok || p.Dist != want {
+			t.Fatalf("scripted pop %d: %g,%v want %g (err=%v)", i, p.Dist, ok, want, q.Err())
+		}
+	}
+
+	q = New(Config{MemBytes: 3 * RecordSize, Rho: 0.5})
+	rng := rand.New(rand.NewSource(17))
+	const n = 600
+	pushed := map[Pair]int{}
+	for i := 0; i < n; i++ {
+		p := Pair{
+			Dist:     float64(rng.Intn(2)),
+			LeftObj:  rng.Intn(2) == 0,
+			RightObj: true,
+			Left:     uint64(rng.Intn(2)),
+			Right:    uint64(rng.Intn(2)),
+		}
+		pushed[p]++
+		q.Push(p)
+		if q.MemLen() > q.Capacity() {
+			t.Fatalf("push %d: %d pairs in memory, capacity %d", i, q.MemLen(), q.Capacity())
+		}
+	}
+	var prev Pair
+	for i := 0; i < n; i++ {
+		p, ok := q.Pop()
+		if !ok {
+			t.Fatalf("pop %d failed: %v", i, q.Err())
+		}
+		if i > 0 && p.Less(prev) {
+			t.Fatalf("pop %d: %+v sorts before previous %+v", i, p, prev)
+		}
+		if pushed[p] == 0 {
+			t.Fatalf("pop %d: %+v was not pushed (or popped twice)", i, p)
+		}
+		pushed[p]--
+		prev = p
+		if q.MemLen() > q.Capacity() {
+			t.Fatalf("pop %d: %d pairs in memory, capacity %d", i, q.MemLen(), q.Capacity())
+		}
 	}
 	if !q.Empty() {
 		t.Fatal("not empty")

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -390,7 +391,8 @@ func TestEdgeCases(t *testing.T) {
 }
 
 // Identical coordinates everywhere: massive ties must not break any
-// algorithm.
+// algorithm, and a tie run larger than the queue budget must spill
+// rather than stay in memory — up to k = |R|·|S|, every pair a tie.
 func TestAllTies(t *testing.T) {
 	items := make([]rtree.Item, 40)
 	for i := range items {
@@ -398,22 +400,33 @@ func TestAllTies(t *testing.T) {
 	}
 	left := buildTree(t, items, 8)
 	right := buildTree(t, items, 8)
-	k := 100
-	for name, f := range map[string]func() ([]Result, error){
-		"HS-KDJ": func() ([]Result, error) { return HSKDJ(left, right, k, Options{}) },
-		"B-KDJ":  func() ([]Result, error) { return BKDJ(left, right, k, Options{}) },
-		"AM-KDJ": func() ([]Result, error) { return AMKDJ(left, right, k, Options{}) },
-	} {
-		got, err := f()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != k {
-			t.Fatalf("%s: got %d results", name, len(got))
-		}
-		for _, res := range got {
-			if res.Dist != 0 {
-				t.Fatalf("%s: tie distance %g", name, res.Dist)
+	for _, k := range []int{100, len(items) * len(items)} {
+		for name, f := range map[string]func(Options) ([]Result, error){
+			"HS-KDJ": func(o Options) ([]Result, error) { return HSKDJ(left, right, k, o) },
+			"B-KDJ":  func(o Options) ([]Result, error) { return BKDJ(left, right, k, o) },
+			"AM-KDJ": func(o Options) ([]Result, error) { return AMKDJ(left, right, k, o) },
+		} {
+			name := fmt.Sprintf("%s/k=%d", name, k)
+			got, err := f(Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got) != k {
+				t.Fatalf("%s: got %d results", name, len(got))
+			}
+			for _, res := range got {
+				if res.Dist != 0 {
+					t.Fatalf("%s: tie distance %g", name, res.Dist)
+				}
+			}
+			mc := &metrics.Collector{}
+			got, err = f(Options{QueueMemBytes: 1024, Metrics: mc})
+			if err != nil {
+				t.Fatalf("%s/tinyq: %v", name, err)
+			}
+			checkAgainstBrute(t, name+"/tinyq", got, items, items, k)
+			if mc.QueuePageWrites == 0 {
+				t.Fatalf("%s/tinyq: a tie run over the queue budget wrote no pages", name)
 			}
 		}
 	}
